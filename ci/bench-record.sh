@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
-# Regenerate the perf-trajectory record on this runner and gate its
-# dist_scaling section. sosbench refuses to write the record if the
-# worker-scaling sweep is flat while the record claims multiple CPUs, so
-# the write itself re-checks that sharded rounds scale; benchguard's
-# -dist-record gate then requires sane shards=1 and shards=2 round costs,
-# so the sharded-process path cannot silently drop out of the measurement.
+# Regenerate the perf-trajectory record on this runner. sosbench refuses
+# to write the record if the worker-scaling sweep is flat while the record
+# claims multiple CPUs, so the write itself re-checks that sharded rounds
+# scale; benchguard then re-runs the steady-state regression comparison.
 # The record is uploaded as an artifact for cross-runner comparison against
 # the committed BENCH_*.json (never committed from CI — runner hardware
 # varies run to run).
@@ -23,4 +21,4 @@ if [ ! -f /tmp/bench.txt ]; then
     -benchtime 3x -benchmem . > /tmp/bench.txt
 fi
 go run ./cmd/benchguard -baseline "$BASELINE" -bench /tmp/bench.txt \
-  -max-regress 25 -dist-record /tmp/BENCH_CI.json
+  -max-regress 25

@@ -20,16 +20,6 @@
 //	                  divided by ns/op(workers=4) must reach X (default 0 =
 //	                  off; skipped with a note when the runner has a
 //	                  single CPU, where no speedup is physically possible)
-//	-dist-record FILE gate the dist_scaling section of a freshly generated
-//	                  BENCH_*.json: entries for shards=1 and shards=2 must
-//	                  be present with sane round costs, proving the
-//	                  sharded-process path still runs and gets measured
-//	-min-dist-speedup X
-//	                  with -dist-record, additionally require the
-//	                  shards=1 / shards=2 ns/round ratio to reach X
-//	                  (default 0 = presence check only — the replicated
-//	                  non-Plan phases bound the achievable ratio, so a
-//	                  ratio gate is opt-in; skipped on single-CPU runners)
 //	-summary FILE     also append the markdown comparison table here
 //	                  (default: $GITHUB_STEP_SUMMARY when set)
 //
@@ -91,10 +81,6 @@ func run() error {
 	maxRegress := flag.Float64("max-regress", 25, "allowed ns/op increase over baseline, in percent")
 	minSpeedup := flag.Float64("min-speedup", 0,
 		"required workers=1 / workers=4 ns/op ratio per population (0 = gate off; skipped on single-CPU runners)")
-	distRecordPath := flag.String("dist-record", "",
-		"BENCH_*.json whose dist_scaling section must carry sane shards=1 and shards=2 entries (empty = gate off)")
-	minDistSpeedup := flag.Float64("min-dist-speedup", 0,
-		"required shards=1 / shards=2 ns/round ratio in -dist-record (0 = presence check only; skipped on single-CPU runners)")
 	summaryPath := flag.String("summary", os.Getenv("GITHUB_STEP_SUMMARY"),
 		"markdown summary destination (appended; empty = stdout only)")
 	flag.Parse()
@@ -125,15 +111,6 @@ func run() error {
 		scaling, scalingFailures := checkSpeedup(results, *minSpeedup, runtime.NumCPU())
 		table += scaling
 		failures = append(failures, scalingFailures...)
-	}
-	if *distRecordPath != "" {
-		rec, err := loadDistRecord(*distRecordPath)
-		if err != nil {
-			return err
-		}
-		section, distFailures := checkDist(rec, *minDistSpeedup, runtime.NumCPU())
-		table += section
-		failures = append(failures, distFailures...)
 	}
 	fmt.Print(table)
 	if *summaryPath != "" {
@@ -216,79 +193,6 @@ func parseBench(r io.Reader) ([]benchResult, error) {
 		out = append(out, res)
 	}
 	return out, sc.Err()
-}
-
-// distRecord is the slice of the sosf-bench schema the dist gate reads.
-type distRecord struct {
-	Schema      string `json:"schema"`
-	DistScaling []struct {
-		Shards     int     `json:"shards"`
-		Nodes      int     `json:"nodes"`
-		NSPerRound float64 `json:"ns_per_round"`
-	} `json:"dist_scaling"`
-}
-
-func loadDistRecord(path string) (*distRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rec distRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if !strings.HasPrefix(rec.Schema, "sosf-bench/") {
-		return nil, fmt.Errorf("%s: schema is %q, want sosf-bench/*", path, rec.Schema)
-	}
-	return &rec, nil
-}
-
-// checkDist is the sharded-process gate: the freshly regenerated record
-// must carry dist_scaling entries for shards=1 and shards=2 with positive
-// round costs — proving the coordinator/worker path still completes and is
-// still being measured. With minSpeedup > 0 it additionally requires the
-// shards=1 / shards=2 ratio to reach that bar; the ratio gate is opt-in
-// because the replicated non-Plan phases bound what sharding can buy, and
-// it reports itself skipped on single-CPU runners where no speedup is
-// physically possible (the presence check still applies there).
-func checkDist(rec *distRecord, minSpeedup float64, cpus int) (string, []string) {
-	var b strings.Builder
-	b.WriteString("### Dist-scaling gate (shards=1 vs shards=2)\n\n")
-	ns := make(map[int]float64)
-	nodes := 0
-	for _, m := range rec.DistScaling {
-		if m.NSPerRound > 0 {
-			ns[m.Shards] = m.NSPerRound
-			nodes = m.Nodes
-		}
-	}
-	var failures []string
-	if ns[1] <= 0 || ns[2] <= 0 {
-		failure := fmt.Sprintf(
-			"dist-scaling gate: record needs positive shards=1 and shards=2 entries, has %d usable (the sharded-process path went unmeasured)",
-			len(ns))
-		b.WriteString(failure + "\n\n")
-		return b.String(), []string{failure}
-	}
-	ratio := ns[1] / ns[2]
-	fmt.Fprintf(&b, "| nodes | shards=1 ns/round | shards=2 ns/round | ratio |\n")
-	fmt.Fprintf(&b, "|---:|---:|---:|---:|\n")
-	fmt.Fprintf(&b, "| %d | %.0f | %.0f | %.2fx |\n\n", nodes, ns[1], ns[2], ratio)
-	switch {
-	case minSpeedup <= 0:
-		b.WriteString("ratio not gated (presence check only)\n\n")
-	case cpus <= 1:
-		b.WriteString("ratio gate skipped: single-CPU runner, no parallel speedup is possible\n\n")
-	case ratio < minSpeedup:
-		failure := fmt.Sprintf(
-			"dist-scaling at n=%d: %.2fx ratio (shards=1 %.0f ns/round, shards=2 %.0f ns/round) is under the required %.2fx",
-			nodes, ratio, ns[1], ns[2], minSpeedup)
-		b.WriteString(failure + "\n\n")
-		failures = append(failures, failure)
-	default:
-		fmt.Fprintf(&b, "ratio ok (required ≥ %.2fx)\n\n", minSpeedup)
-	}
-	return b.String(), failures
 }
 
 // checkSpeedup is the worker-scaling gate: for every population that has

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -153,56 +151,6 @@ func TestCheckSpeedupFailsWithoutPairs(t *testing.T) {
 	_, failures := checkSpeedup(serialOnly, 1.5, 4)
 	if len(failures) != 1 || !strings.Contains(failures[0], "no population") {
 		t.Fatalf("failures = %v, want one missing-pair failure", failures)
-	}
-}
-
-// writeDistRecord drops a minimal sosf-bench record with the given
-// dist_scaling entries and loads it back through the gate's reader.
-func writeDistRecord(t *testing.T, entries string) *distRecord {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "BENCH_CI.json")
-	blob := `{"schema":"sosf-bench/2","dist_scaling":[` + entries + `]}`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := loadDistRecord(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
-
-func TestCheckDistPresencePasses(t *testing.T) {
-	rec := writeDistRecord(t,
-		`{"shards":1,"nodes":1000,"ns_per_round":2e6},{"shards":2,"nodes":1000,"ns_per_round":1.5e6}`)
-	table, failures := checkDist(rec, 0, 4)
-	if len(failures) != 0 {
-		t.Fatalf("unexpected failures: %v", failures)
-	}
-	if !strings.Contains(table, "1.33x") || !strings.Contains(table, "presence check only") {
-		t.Fatalf("table:\n%s", table)
-	}
-}
-
-func TestCheckDistFlagsMissingSection(t *testing.T) {
-	rec := writeDistRecord(t, `{"shards":1,"nodes":1000,"ns_per_round":2e6}`)
-	_, failures := checkDist(rec, 0, 4)
-	if len(failures) != 1 || !strings.Contains(failures[0], "unmeasured") {
-		t.Fatalf("failures = %v, want one missing-entry failure", failures)
-	}
-}
-
-func TestCheckDistRatioGate(t *testing.T) {
-	rec := writeDistRecord(t,
-		`{"shards":1,"nodes":1000,"ns_per_round":2e6},{"shards":2,"nodes":1000,"ns_per_round":1.9e6}`)
-	_, failures := checkDist(rec, 1.5, 4)
-	if len(failures) != 1 || !strings.Contains(failures[0], "under the required") {
-		t.Fatalf("failures = %v, want one ratio failure", failures)
-	}
-	// The same record passes when the runner cannot physically parallelize.
-	table, failures := checkDist(rec, 1.5, 1)
-	if len(failures) != 0 || !strings.Contains(table, "skipped: single-CPU") {
-		t.Fatalf("failures = %v, table:\n%s", failures, table)
 	}
 }
 

@@ -25,18 +25,6 @@
 //	                               many simulations concurrently, stream
 //	                               round events over SSE, and scrape
 //	                               /metrics (see internal/serve)
-//	sos dist [flags] file.sos      run ONE simulation sharded across
-//	                               processes: a coordinator partitions the
-//	                               slot space into -shards contiguous
-//	                               shards, workers plan their shard and
-//	                               exchange planned records at each round
-//	                               barrier, and the coordinator's event
-//	                               stream is byte-identical to `sos play`
-//	                               at any shard count. Without -listen the
-//	                               workers run in-process over pipes; with
-//	                               -listen ADDR external `sos dist -connect
-//	                               ADDR` workers join over TCP or a Unix
-//	                               socket (ADDR with a slash)
 //	sos fuzz [flags]               run a deterministic generative campaign:
 //	                               sample randomized fault timelines over a
 //	                               seed × topology × population matrix,
@@ -139,10 +127,6 @@ func run(args []string) error {
 	if cmd == "serve" {
 		// serve has its own flag set and takes no DSL file either.
 		return serveCmd(rest)
-	}
-	if cmd == "dist" {
-		// dist has its own flag set (its worker mode can even run fileless).
-		return distCmd(rest)
 	}
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)

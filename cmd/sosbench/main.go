@@ -39,15 +39,14 @@
 //
 // Performance instrumentation:
 //
-//	-cpuprofile FILE  write a pprof CPU profile covering every driver
+//	-cpuprofile FILE  write a pprof CPU profile of the whole run, in every
+//	                  mode (-nodes, -resume and -serve included)
 //	-memprofile FILE  write a pprof heap profile at exit
 //	-benchjson FILE   write machine-readable metrics (wall clock, heap
 //	                  bytes and allocation counts per figure driver,
-//	                  steady-state engine-round cost at 1k/10k nodes, a
-//	                  worker-scaling section: ns/round at 1/2/4/8
-//	                  intra-round workers, and a dist-scaling section:
-//	                  ns/round with the same run sharded across 1 and 2
-//	                  coordinator-driven processes) — the BENCH_*.json
+//	                  steady-state engine-round cost at 1k/10k nodes, and
+//	                  a worker-scaling section: ns/round at 1/2/4/8
+//	                  intra-round workers) — the BENCH_*.json
 //	                  perf-trajectory records committed alongside
 //	                  performance PRs are generated this way
 //
@@ -69,65 +68,57 @@ import (
 	"time"
 
 	"sosf/internal/core"
-	"sosf/internal/dist"
 	"sosf/internal/eval"
 	"sosf/internal/plot"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sosbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	all := flag.Bool("all", false, "run every experiment")
-	fig2 := flag.Bool("fig2", false, "Figure 2: convergence vs. nodes")
-	fig3 := flag.Bool("fig3", false, "Figure 3: convergence vs. components")
-	fig4 := flag.Bool("fig4", false, "Figure 4: bandwidth baseline vs. overhead")
-	gallery := flag.Bool("gallery", false, "experiment (i): topology gallery")
-	curves := flag.Bool("curves", false, "experiment (ii): accuracy over time")
-	reconfig := flag.Bool("reconfig", false, "experiment (iii): live reconfiguration")
-	churn := flag.Bool("churn", false, "extension: continuous churn")
-	catastrophe := flag.Bool("catastrophe", false, "extension: catastrophic failures")
-	ablations := flag.Bool("ablations", false, "design-choice ablations")
-	baselineCmp := flag.Bool("baseline", false, "composed runtime vs. monolithic overlay")
-	full := flag.Bool("full", false, "paper-scale runs (slow)")
-	runs := flag.Int("runs", 0, "repetitions per data point")
-	seed := flag.Int64("seed", 1, "base random seed")
-	parallel := flag.Int("parallel", 0,
+func run(args []string) error {
+	fs := flag.NewFlagSet("sosbench", flag.ExitOnError)
+	all := fs.Bool("all", false, "run every experiment")
+	fig2 := fs.Bool("fig2", false, "Figure 2: convergence vs. nodes")
+	fig3 := fs.Bool("fig3", false, "Figure 3: convergence vs. components")
+	fig4 := fs.Bool("fig4", false, "Figure 4: bandwidth baseline vs. overhead")
+	gallery := fs.Bool("gallery", false, "experiment (i): topology gallery")
+	curves := fs.Bool("curves", false, "experiment (ii): accuracy over time")
+	reconfig := fs.Bool("reconfig", false, "experiment (iii): live reconfiguration")
+	churn := fs.Bool("churn", false, "extension: continuous churn")
+	catastrophe := fs.Bool("catastrophe", false, "extension: catastrophic failures")
+	ablations := fs.Bool("ablations", false, "design-choice ablations")
+	baselineCmp := fs.Bool("baseline", false, "composed runtime vs. monolithic overlay")
+	full := fs.Bool("full", false, "paper-scale runs (slow)")
+	runs := fs.Int("runs", 0, "repetitions per data point")
+	seed := fs.Int64("seed", 1, "base random seed")
+	parallel := fs.Int("parallel", 0,
 		"worker goroutines fanning independent runs (0 = GOMAXPROCS, 1 = sequential)")
-	roundWorkers := flag.Int("workers", 1,
+	roundWorkers := fs.Int("workers", 1,
 		"workers sharding each simulation round (0 = GOMAXPROCS; output identical for any value)")
-	compare := flag.Bool("compare", false,
+	compare := fs.Bool("compare", false,
 		"run each experiment sequentially too, report the speedup, and check outputs match")
-	out := flag.String("out", "", "directory for .dat/.svg/.txt outputs")
-	checkpoints := flag.String("checkpoints", "",
+	out := fs.String("out", "", "directory for .dat/.svg/.txt outputs")
+	checkpoints := fs.String("checkpoints", "",
 		"directory for per-cell system checkpoints from the figure sweeps (warm states for -resume)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	benchjson := flag.String("benchjson", "", "write machine-readable benchmark metrics (BENCH_*.json) to this file")
-	nodesBench := flag.Int("nodes", 0,
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
+	benchjson := fs.String("benchjson", "", "write machine-readable benchmark metrics (BENCH_*.json) to this file")
+	nodesBench := fs.Int("nodes", 0,
 		"population mode: build one full-stack system of N nodes, warm it, and report steady-state round cost, skipping every figure driver (`-nodes 1000000` is the million-node smoke; honors -workers)")
-	resume := flag.String("resume", "",
+	resume := fs.String("resume", "",
 		"warm-start benchmarking: restore a system checkpoint (written by `sos snapshot` or sosf.System.Snapshot) and measure steady-state rounds on it, skipping population build and convergence warmup")
-	resumeRounds := flag.Int("resume-rounds", 20, "rounds to measure with -resume")
-	serveURL := flag.String("serve", "",
+	resumeRounds := fs.Int("resume-rounds", 20, "rounds to measure with -resume")
+	serveURL := fs.String("serve", "",
 		"client mode: benchmark a running `sos serve` instance at this base URL (e.g. http://127.0.0.1:8080)")
-	serveJobs := flag.Int("serve-jobs", 16, "jobs to submit with -serve")
-	serveConcurrency := flag.Int("serve-concurrency", 4, "concurrent jobs in flight with -serve")
-	serveRounds := flag.Int("serve-rounds", 30, "rounds per job with -serve")
-	flag.Parse()
-
-	if *resume != "" {
-		return warmStart(*resume, *roundWorkers, *resumeRounds)
-	}
-	if *nodesBench > 0 {
-		return populationBench(*nodesBench, *roundWorkers)
-	}
-	if *serveURL != "" {
-		return serveBench(*serveURL, *serveJobs, *serveConcurrency, *serveRounds, *benchjson, *seed)
+	serveJobs := fs.Int("serve-jobs", 16, "jobs to submit with -serve")
+	serveConcurrency := fs.Int("serve-concurrency", 4, "concurrent jobs in flight with -serve")
+	serveRounds := fs.Int("serve-rounds", 30, "rounds per job with -serve")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	if *cpuprofile != "" {
@@ -154,6 +145,16 @@ func run() error {
 				fmt.Fprintln(os.Stderr, "sosbench: memprofile:", err)
 			}
 		}()
+	}
+
+	if *resume != "" {
+		return warmStart(*resume, *roundWorkers, *resumeRounds)
+	}
+	if *nodesBench > 0 {
+		return populationBench(*nodesBench, *roundWorkers)
+	}
+	if *serveURL != "" {
+		return serveBench(*serveURL, *serveJobs, *serveConcurrency, *serveRounds, *benchjson, *seed)
 	}
 
 	o := eval.Options{
@@ -270,7 +271,7 @@ func run() error {
 		}
 	}
 	if !any {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("no experiment selected (try -all)")
 	}
 	total := time.Since(start)
@@ -367,23 +368,10 @@ type roundMetric struct {
 	AllocsPerRound float64 `json:"allocs_per_round"`
 }
 
-// distMetric is one dist_scaling entry: the steady-state round cost of the
-// same simulation sharded across N coordinator-driven worker replicas over
-// in-process pipes — the `sos dist` execution path. Recorded alongside
-// worker_scaling so the perf trajectory pins both parallelism axes: threads
-// within one process and shards across processes.
-type distMetric struct {
-	Shards     int     `json:"shards"`
-	Nodes      int     `json:"nodes"`
-	Rounds     int     `json:"rounds_measured"`
-	NSPerRound float64 `json:"ns_per_round"`
-}
-
 // benchRecord is the BENCH_*.json schema (sosf-bench/2): environment,
 // per-driver costs, steady-state engine-round costs, the worker-scaling
 // section (ns/round at 1/2/4/8 intra-round workers — the v2 addition,
-// together with the per-round worker count on every round metric), and the
-// dist-scaling section (ns/round at 1 and 2 process shards).
+// together with the per-round worker count on every round metric).
 type benchRecord struct {
 	Schema        string         `json:"schema"`
 	Go            string         `json:"go"`
@@ -397,7 +385,6 @@ type benchRecord struct {
 	Full          bool           `json:"full"`
 	EngineRounds  []roundMetric  `json:"engine_rounds,omitempty"`
 	WorkerScaling []roundMetric  `json:"worker_scaling,omitempty"`
-	DistScaling   []distMetric   `json:"dist_scaling,omitempty"`
 	Drivers       []driverMetric `json:"drivers,omitempty"`
 	Serve         *serveMetric   `json:"serve,omitempty"`
 	TotalWallMS   float64        `json:"total_wall_ms"`
@@ -442,44 +429,6 @@ func measureRound(nodes, rounds, warm, workers int) (roundMetric, error) {
 		BytesPerRound:  float64(after.TotalAlloc-before.TotalAlloc) / r,
 		AllocsPerRound: float64(after.Mallocs-before.Mallocs) / r,
 	}, nil
-}
-
-// measureDist runs the BenchmarkRound configuration through the `sos dist`
-// path (coordinator plus N in-process pipe workers) and reports ns/round.
-// RunLocal has no warm/measure split — every run goes handshake-to-report —
-// so the steady-state cost is isolated by subtraction: a short run prices
-// the fixed handshake, build, and warmup cost, a long run adds the measured
-// rounds, and the difference divided by the extra rounds is the per-round
-// cost with both fixed costs cancelled.
-func measureDist(nodes, shards int) (distMetric, error) {
-	const warm, measured = 5, 50
-	run := func(rounds int) (time.Duration, error) {
-		t0 := time.Now()
-		_, err := dist.RunLocal(dist.Config{
-			Source: eval.RingOfRingsDSL(20),
-			Shards: shards,
-			Nodes:  nodes,
-			Rounds: rounds, RoundsSet: true,
-			Threads: 1,
-		})
-		return time.Since(t0), err
-	}
-	short, err := run(warm)
-	if err != nil {
-		return distMetric{}, err
-	}
-	long, err := run(warm + measured)
-	if err != nil {
-		return distMetric{}, err
-	}
-	ns := float64((long - short).Nanoseconds()) / measured
-	if ns < 1 {
-		// Subtraction timing can go nonpositive under scheduler noise on a
-		// loaded runner; clamp so the record stays schema-valid — a 1 ns
-		// round is transparently "too fast to measure", not a real number.
-		ns = 1
-	}
-	return distMetric{Shards: shards, Nodes: nodes, Rounds: measured, NSPerRound: ns}, nil
 }
 
 // benchSchema is the schema identifier every BENCH_*.json record carries.
@@ -540,17 +489,6 @@ func validateBenchRecord(rec *benchRecord) error {
 	for _, m := range rec.WorkerScaling {
 		if err := validRound("worker_scaling", m); err != nil {
 			return err
-		}
-	}
-	if len(rec.DistScaling) == 0 {
-		return fmt.Errorf("dist_scaling must not be empty")
-	}
-	for _, m := range rec.DistScaling {
-		if m.Shards < 1 || m.Nodes < 1 || m.Rounds < 1 {
-			return fmt.Errorf("dist_scaling: shards/nodes/rounds must be >= 1, got %d/%d/%d", m.Shards, m.Nodes, m.Rounds)
-		}
-		if m.NSPerRound <= 0 {
-			return fmt.Errorf("dist_scaling (shards=%d): ns_per_round must be > 0, got %g", m.Shards, m.NSPerRound)
 		}
 	}
 	if rec.CPUs > 1 {
@@ -654,18 +592,6 @@ func writeBenchJSON(path string, o eval.Options, workers int, metrics []driverMe
 				rec.EngineRounds = append(rec.EngineRounds, sm)
 			}
 		}
-	}
-	// Dist-scaling section: the same simulation coordinated across process
-	// shards (in-process pipes, so one command regenerates the record). The
-	// shards=1 entry prices the coordination protocol itself against the
-	// serial engine_rounds numbers; shards=2 shows what sharding the Plan
-	// phase buys on this runner.
-	for _, shards := range []int{1, 2} {
-		dm, err := measureDist(1000, shards)
-		if err != nil {
-			return err
-		}
-		rec.DistScaling = append(rec.DistScaling, dm)
 	}
 	return writeValidatedBenchJSON(path, &rec)
 }

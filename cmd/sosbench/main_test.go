@@ -112,19 +112,24 @@ func TestMillionNodeRound(t *testing.T) {
 	t.Logf("1M-node round: %.1f ms (workers=%d)", m.NSPerRound/1e6, m.Workers)
 }
 
-// TestMeasureDist smokes the dist_scaling measurement end to end: the
-// subtraction timing must produce a positive per-round cost through the
-// real coordinator/worker path.
-func TestMeasureDist(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dist measurement smoke skipped in -short mode")
-	}
-	m, err := measureDist(200, 2)
-	if err != nil {
+// TestProfilesCoverPopulationMode pins that -cpuprofile and -memprofile
+// start before the mode dispatch, so a -nodes run writes both profiles
+// instead of returning before profiling begins.
+func TestProfilesCoverPopulationMode(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	if err := run([]string{"-nodes", "200", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Shards != 2 || m.Nodes != 200 || m.NSPerRound <= 0 {
-		t.Fatalf("metric = %+v, want a positive 2-shard round cost", m)
+	for _, path := range []string{cpu, mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Fatalf("%s is empty", filepath.Base(path))
+		}
 	}
 }
 
@@ -142,10 +147,6 @@ func validRecord() benchRecord {
 		WorkerScaling: []roundMetric{
 			round,
 			{Nodes: 1000, Workers: 4, Rounds: 50, NSPerRound: 5e5},
-		},
-		DistScaling: []distMetric{
-			{Shards: 1, Nodes: 1000, Rounds: 50, NSPerRound: 1.1e6},
-			{Shards: 2, Nodes: 1000, Rounds: 50, NSPerRound: 9e5},
 		},
 		Drivers:     []driverMetric{{Name: "fig2", WallMS: 12.5}},
 		TotalWallMS: 100,
@@ -211,9 +212,6 @@ func TestValidateBenchRecordRejectsMalformed(t *testing.T) {
 		{"no engine rounds", func(r *benchRecord) { r.EngineRounds = nil }},
 		{"zero-node round", func(r *benchRecord) { r.EngineRounds[0].Nodes = 0 }},
 		{"negative ns", func(r *benchRecord) { r.WorkerScaling[1].NSPerRound = -1 }},
-		{"no dist scaling", func(r *benchRecord) { r.DistScaling = nil }},
-		{"zero-shard dist entry", func(r *benchRecord) { r.DistScaling[0].Shards = 0 }},
-		{"zero-ns dist entry", func(r *benchRecord) { r.DistScaling[1].NSPerRound = 0 }},
 		{"no drivers", func(r *benchRecord) { r.Drivers = nil }},
 		{"unnamed driver", func(r *benchRecord) { r.Drivers[0].Name = "" }},
 		{"zero driver wall", func(r *benchRecord) { r.Drivers[0].WallMS = 0 }},

@@ -35,11 +35,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sys, err := sosf.New(string(src), sosf.Options{
-		Nodes:  *nodes,
-		Rounds: *rounds,
-		Seed:   *seed,
-	})
+	opts := []sosf.Option{sosf.WithRounds(*rounds), sosf.WithSeed(*seed)}
+	if *nodes > 0 {
+		opts = append(opts, sosf.WithNodes(*nodes))
+	}
+	sys, err := sosf.New(string(src), opts...)
 	if err != nil {
 		return err
 	}

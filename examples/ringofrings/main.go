@@ -43,7 +43,7 @@ func main() {
 // run executes the example, narrating to w. Extra options are applied
 // last, which is how the smoke test injects a tiny population.
 func run(w io.Writer, extra ...sosf.Option) error {
-	opts := append([]sosf.Option{sosf.Options{Seed: 7, RunToEnd: true}}, extra...)
+	opts := append([]sosf.Option{sosf.WithSeed(7), sosf.WithRunToEnd()}, extra...)
 	sys, err := sosf.New(src, opts...)
 	if err != nil {
 		return err

@@ -83,6 +83,12 @@ func (p *PortConnect) ensureSlot(slot int) {
 func (p *PortConnect) InitNode(e *sim.Engine, slot int) {
 	p.ensureSlot(slot)
 	st := &p.states[slot]
+	// Belief rows are bounded by the node's link-side count; carve them
+	// from the shared arena here, at the serial barrier (the profile is
+	// assigned before InitNode runs), never from the parallel Refresh.
+	if nsides := len(p.alloc.SidesOf(e.Node(slot).Profile.Comp)); cap(st.remotes) < nsides {
+		st.remotes = sim.Carve(&p.arena, nsides)
+	}
 	// Fresh-join semantics: desync the state so the next Refresh re-syncs
 	// it against the node's (possibly new) profile. Belief storage is kept.
 	st.epoch = ^uint32(0)
@@ -147,7 +153,9 @@ func (p *PortConnect) reset(n *sim.Node, st *connState) {
 	st.comp = n.Profile.Comp
 	nsides := len(p.alloc.SidesOf(n.Profile.Comp))
 	if cap(st.remotes) < nsides {
-		st.remotes = sim.Carve(&p.arena, nsides)
+		// A reconfiguration added link sides: grow into a slot-private
+		// row, since Refresh runs in parallel and must not touch the arena.
+		st.remotes = make([]PortRecord, nsides)
 	}
 	st.remotes = st.remotes[:nsides]
 	for i := range st.remotes {

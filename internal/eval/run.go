@@ -40,8 +40,8 @@ type Options struct {
 	// exactly as in sequential mode, and drivers gather results into
 	// index-addressed storage before aggregating in index order — so any
 	// Parallelism value produces byte-identical figures and tables.
-	// 0 (the default) means runtime.GOMAXPROCS(0); 1 is the legacy
-	// sequential path.
+	// 0 (the default) means runtime.GOMAXPROCS(0); 1 runs the cells one
+	// at a time in index order.
 	Parallelism int
 	// CheckpointDir, when set, makes the figure-sweep drivers write a
 	// snapshot of every cell's final system state into the directory
@@ -75,13 +75,14 @@ func (o Options) withDefaults() Options {
 
 // runGrid executes cell(point, run) for every pair of the
 // [0, points) × [0, o.Runs) grid and returns the results addressed as
-// out[point][run]. With Parallelism > 1 cells are claimed from a shared
-// counter by a bounded pool of workers; because each cell is a fully
+// out[point][run]. Cells are claimed in index order from a shared counter
+// by a pool of Parallelism workers; because each cell is a fully
 // independent simulation (own engine, own seed) and results land in their
 // grid slot rather than a completion-ordered append, callers that fold
-// out[...] in index order produce output byte-identical to the sequential
-// path. On error the pool drains without starting new cells and the error
-// of the lowest-indexed failed cell is returned.
+// out[...] in index order produce byte-identical output at any pool size.
+// On error the pool drains without starting new cells and the error of the
+// lowest-indexed failed cell is returned; a one-worker pool therefore
+// stops at the first failing cell.
 func runGrid[T any](o Options, points int, cell func(point, run int) (T, error)) ([][]T, error) {
 	out := make([][]T, points)
 	for p := range out {
@@ -92,20 +93,7 @@ func runGrid[T any](o Options, points int, cell func(point, run int) (T, error))
 	if workers > total {
 		workers = total
 	}
-	if workers <= 1 {
-		// Legacy sequential mode: the historical execution order, with no
-		// goroutine or scheduling overhead.
-		for p := 0; p < points; p++ {
-			for r := 0; r < o.Runs; r++ {
-				v, err := cell(p, r)
-				if err != nil {
-					return nil, err
-				}
-				out[p][r] = v
-			}
-		}
-		return out, nil
-	}
+	workers = max(workers, 1)
 	errs := make([]error, total)
 	var next atomic.Int64
 	var failed atomic.Bool

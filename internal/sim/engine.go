@@ -765,7 +765,23 @@ func (e *Engine) deliver(pi int, alive []int) {
 // runs observers. The result is byte-identical for every worker count. It
 // reports whether any observer requested a stop.
 func (e *Engine) RunRound() (stop bool) {
-	stop, _ = e.runRoundSharded(0, len(e.nodes), nil)
+	alive := e.alive()
+	e.ensureCtxs()
+	for pi, p := range e.protocols {
+		base := uint64(pi) * phaseCount
+		e.runPhase(p, base+phaseRefresh, phaseRefresh, alive)
+		e.runPhase(p, base+phasePlan, phasePlan, alive)
+		e.deliver(pi, alive)
+		e.runPhase(p, base+phaseAbsorb, phaseAbsorb, alive)
+	}
+	e.foldMeters()
+	e.meter.EndRound()
+	e.round++
+	for _, o := range e.observers {
+		if o.AfterRound(e) {
+			stop = true
+		}
+	}
 	return stop
 }
 

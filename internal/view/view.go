@@ -315,21 +315,6 @@ func (v *View) ReplaceAll(ds []Descriptor) {
 	v.entries = append(v.entries[:0], ds...)
 }
 
-// Merge folds the given descriptors into a deduplicated buffer together
-// with the current entries, then keeps the `capacity` freshest, preferring
-// existing entries on ties. self is excluded.
-func (v *View) Merge(self NodeID, incoming []Descriptor) {
-	buf := MergeBuffers(self, v.entries, incoming)
-	// Keep youngest first.
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].Age != buf[j].Age {
-			return buf[i].Age < buf[j].Age
-		}
-		return buf[i].ID < buf[j].ID
-	})
-	v.ReplaceAll(buf)
-}
-
 // Merger is the reusable scratch state behind descriptor-buffer merging: a
 // deduplication index plus an output buffer, both retained across calls so
 // steady-state merges allocate nothing. The zero value is ready to use.

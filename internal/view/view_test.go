@@ -125,25 +125,6 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestMergeKeepsFreshest(t *testing.T) {
-	v := New(3)
-	v.Add(desc(1, 8))
-	v.Add(desc(2, 1))
-	v.Merge(99, []Descriptor{desc(1, 2), desc(3, 0), desc(4, 9), desc(99, 0)})
-	if v.Len() != 3 {
-		t.Fatalf("Len() = %d, want capacity 3", v.Len())
-	}
-	if v.Contains(99) {
-		t.Fatal("merge must never admit self")
-	}
-	if i := v.IndexOf(1); i < 0 || v.At(i).Age != 2 {
-		t.Fatal("merge should keep the fresher copy of id 1")
-	}
-	if v.Contains(4) {
-		t.Fatal("oldest candidate (id 4, age 9) should have been dropped")
-	}
-}
-
 func TestRandomSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := New(10)
@@ -174,39 +155,6 @@ func TestSetCapTruncates(t *testing.T) {
 	v.SetCap(2)
 	if v.Len() != 2 || v.Cap() != 2 {
 		t.Fatalf("after SetCap(2): len=%d cap=%d", v.Len(), v.Cap())
-	}
-}
-
-// Property: merging arbitrary buffers never produces duplicates, never
-// includes self, and never exceeds capacity.
-func TestMergeProperties(t *testing.T) {
-	f := func(ids []int16, ages []uint16, capRaw uint8) bool {
-		capacity := int(capRaw%16) + 1
-		v := New(capacity)
-		incoming := make([]Descriptor, 0, len(ids))
-		for i, id := range ids {
-			var age uint16
-			if i < len(ages) {
-				age = ages[i]
-			}
-			incoming = append(incoming, desc(NodeID(id), age))
-		}
-		const self = NodeID(7)
-		v.Merge(self, incoming)
-		if v.Len() > capacity {
-			return false
-		}
-		seen := map[NodeID]bool{}
-		for _, id := range v.IDs() {
-			if id == self || seen[id] {
-				return false
-			}
-			seen[id] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,8 +4,7 @@ import "fmt"
 
 // Default values used when the corresponding option is absent. They are
 // applied by New and Run, not baked into the option constructors, so
-// WithRounds(0) and WithSeed(0) mean literally zero — the representability
-// the legacy Options struct lacked.
+// WithRounds(0) and WithSeed(0) mean literally zero.
 const (
 	// DefaultRounds caps a run when WithRounds is not given.
 	DefaultRounds = 150
@@ -14,8 +13,7 @@ const (
 )
 
 // Option configures New and Run. Options are built by the With*
-// constructors; the deprecated Options struct also satisfies Option, so
-// legacy call sites keep compiling.
+// constructors.
 type Option interface {
 	apply(*config)
 }
@@ -221,53 +219,4 @@ func WithEvents(fn func(RoundEvent)) Option {
 			c.events = append(c.events, fn)
 		}
 	})
-}
-
-// Options is the legacy all-in-one configuration struct. Zero values mean
-// "use the default", which makes seed 0 and rounds 0 unrepresentable — the
-// wart the functional options fix.
-//
-// Deprecated: an Options value still works anywhere an Option is accepted
-// (New(src, Options{...}) keeps compiling), but new code should use
-// WithNodes, WithRounds, WithSeed, WithChurn, WithLoss, WithRunToEnd,
-// WithScenario, and WithEvents.
-type Options struct {
-	// Nodes is the population size; falls back to the topology's
-	// `nodes` option (one of the two must be set).
-	Nodes int
-	// Rounds caps the simulation length (default 150).
-	Rounds int
-	// Seed drives all randomness (default 1).
-	Seed int64
-	// RunToEnd keeps simulating even after every layer converged
-	// (by default runs stop at convergence).
-	RunToEnd bool
-	// LossRate drops each gossip exchange with this probability.
-	LossRate float64
-	// ChurnRate replaces this fraction of nodes with fresh joins after
-	// every round.
-	ChurnRate float64
-}
-
-// apply makes Options satisfy Option, preserving the legacy zero-value
-// semantics exactly: zero fields leave the defaults in place.
-func (o Options) apply(c *config) {
-	if o.Nodes > 0 {
-		c.nodes = o.Nodes
-	}
-	if o.Rounds > 0 {
-		c.rounds, c.roundsSet = o.Rounds, true
-	}
-	if o.Seed != 0 {
-		c.seed, c.seedSet = o.Seed, true
-	}
-	if o.RunToEnd {
-		c.runToEnd, c.runToEndSet = true, true
-	}
-	if o.LossRate > 0 {
-		c.lossRate = o.LossRate
-	}
-	if o.ChurnRate > 0 {
-		c.churnRate = o.ChurnRate
-	}
 }

@@ -121,9 +121,6 @@ type System struct {
 // fresh node population.
 //
 //	sys, err := sosf.New(src, sosf.WithNodes(500), sosf.WithChurn(0.01))
-//
-// The deprecated Options struct still satisfies Option, so legacy
-// New(src, Options{...}) calls keep compiling.
 func New(src string, opts ...Option) (*System, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -252,37 +249,9 @@ func (s *System) StepContext(ctx context.Context, n int) (int, error) {
 }
 
 // Engine returns the underlying round engine. sim is an internal package,
-// so this is an intra-module affordance: it is the handle the distributed
-// runner (internal/dist) shards rounds and imports remote plans through.
+// so this is an intra-module affordance for in-tree tools that meter or
+// time rounds directly (the perfbench harness, for one).
 func (s *System) Engine() *sim.Engine { return s.sys.Engine() }
-
-// Size returns the engine's slot-space size (alive and dead slots alike) —
-// the domain a distributed run partitions into contiguous shards. Every
-// replica of a run sees the same size at the same round, so shard bounds
-// recomputed from it stay consistent across processes.
-func (s *System) Size() int { return s.sys.Engine().Size() }
-
-// DistRound executes one round with the Plan phase of the exchange-routing
-// protocols restricted to the alive slots in [lo, hi), invoking exch at
-// each such protocol's Deliver barrier — the distributed sibling of Step.
-// It performs Step's end-of-round bookkeeping (scenario errors, periodic
-// snapshot failures), so coordinator and worker loops built on it observe
-// the same failures a serial run would.
-func (s *System) DistRound(lo, hi int, exch sim.ShardExchange) (stop bool, err error) {
-	stop, err = s.sys.Engine().RunRoundSharded(lo, hi, exch)
-	if err != nil {
-		return stop, err
-	}
-	if s.bound != nil {
-		if serr := s.bound.Err(); serr != nil {
-			return stop, serr
-		}
-	}
-	if s.snapErr != nil {
-		return stop, s.snapErr
-	}
-	return stop, nil
-}
 
 // RoundBudget resolves the run's round budget: an explicit WithRounds wins,
 // otherwise the source's `option rounds`, otherwise DefaultRounds. This is
