@@ -421,13 +421,8 @@ func play(src string, opts []sosf.Option, format string, asJSON bool) error {
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "jsonl":
-		sys.Subscribe(sosf.JSONLSink(os.Stdout))
-	case "csv":
-		sys.Subscribe(sosf.CSVSink(os.Stdout))
-	default:
-		return fmt.Errorf("play: unknown -events format %q (want jsonl or csv)", format)
+	if err := subscribeEvents(sys, format); err != nil {
+		return err
 	}
 	rounds := sys.RoundBudget()
 	if h := sys.ScenarioHorizon(); h > rounds {

@@ -21,27 +21,17 @@
 //	             (default 1; 0 = GOMAXPROCS). Per-node RNG streams keep
 //	             every figure and table byte-identical for any value;
 //	             use it to speed up single large runs
-//	-compare     additionally rerun each experiment sequentially,
-//	             report its parallel-vs-sequential speedup, and fail
-//	             if the outputs differ (doubles the total runtime)
 //	-out DIR     also write <id>.dat, <id>.svg and <id>.txt files
-//
-// Serve client mode (benchmarks a running `sos serve` over HTTP):
-//
-//	-serve URL             base URL of the service (e.g. http://127.0.0.1:8080)
-//	-serve-jobs N          jobs to submit (default 16)
-//	-serve-concurrency C   jobs in flight at once (default 4)
-//	-serve-rounds N        rounds per job (default 30)
-//
-// The mode reports jobs/sec and the p50/p99 latency between consecutive
-// SSE round frames; with -benchjson it writes a sosf-bench/2 record whose
-// `serve` section carries the results.
 //
 // Performance instrumentation:
 //
 //	-cpuprofile FILE  write a pprof CPU profile of the whole run, in every
-//	                  mode (-nodes, -resume and -serve included)
+//	                  mode (-nodes included)
 //	-memprofile FILE  write a pprof heap profile at exit
+//	-nodes N          population mode: build one full-stack system of N
+//	                  nodes and report steady-state round cost, skipping
+//	                  every figure driver (-nodes 1000000 is the
+//	                  million-node smoke)
 //	-benchjson FILE   write machine-readable metrics (wall clock, heap
 //	                  bytes and allocation counts per figure driver,
 //	                  steady-state engine-round cost at 1k/10k nodes, and
@@ -62,7 +52,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -99,24 +88,12 @@ func run(args []string) error {
 		"worker goroutines fanning independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	roundWorkers := fs.Int("workers", 1,
 		"workers sharding each simulation round (0 = GOMAXPROCS; output identical for any value)")
-	compare := fs.Bool("compare", false,
-		"run each experiment sequentially too, report the speedup, and check outputs match")
 	out := fs.String("out", "", "directory for .dat/.svg/.txt outputs")
-	checkpoints := fs.String("checkpoints", "",
-		"directory for per-cell system checkpoints from the figure sweeps (warm states for -resume)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	benchjson := fs.String("benchjson", "", "write machine-readable benchmark metrics (BENCH_*.json) to this file")
 	nodesBench := fs.Int("nodes", 0,
 		"population mode: build one full-stack system of N nodes, warm it, and report steady-state round cost, skipping every figure driver (`-nodes 1000000` is the million-node smoke; honors -workers)")
-	resume := fs.String("resume", "",
-		"warm-start benchmarking: restore a system checkpoint (written by `sos snapshot` or sosf.System.Snapshot) and measure steady-state rounds on it, skipping population build and convergence warmup")
-	resumeRounds := fs.Int("resume-rounds", 20, "rounds to measure with -resume")
-	serveURL := fs.String("serve", "",
-		"client mode: benchmark a running `sos serve` instance at this base URL (e.g. http://127.0.0.1:8080)")
-	serveJobs := fs.Int("serve-jobs", 16, "jobs to submit with -serve")
-	serveConcurrency := fs.Int("serve-concurrency", 4, "concurrent jobs in flight with -serve")
-	serveRounds := fs.Int("serve-rounds", 30, "rounds per job with -serve")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -147,28 +124,15 @@ func run(args []string) error {
 		}()
 	}
 
-	if *resume != "" {
-		return warmStart(*resume, *roundWorkers, *resumeRounds)
-	}
 	if *nodesBench > 0 {
 		return populationBench(*nodesBench, *roundWorkers)
 	}
-	if *serveURL != "" {
-		return serveBench(*serveURL, *serveJobs, *serveConcurrency, *serveRounds, *benchjson, *seed)
-	}
-
 	o := eval.Options{
-		Runs:          *runs,
-		Seed:          *seed,
-		Full:          *full,
-		Parallelism:   *parallel,
-		RoundWorkers:  *roundWorkers,
-		CheckpointDir: *checkpoints,
-	}
-	if *checkpoints != "" {
-		if err := os.MkdirAll(*checkpoints, 0o755); err != nil {
-			return err
-		}
+		Runs:         *runs,
+		Seed:         *seed,
+		Full:         *full,
+		Parallelism:  *parallel,
+		RoundWorkers: *roundWorkers,
 	}
 	workers := *parallel
 	if workers <= 0 {
@@ -182,7 +146,7 @@ func run(args []string) error {
 	}
 
 	// Every driver is presented uniformly as a Result producer so timing
-	// and speedup reporting treat figures and tables alike.
+	// and rendering treat figures and tables alike.
 	wrap := func(f func(eval.Options) (*eval.Figure, error)) func(eval.Options) (*eval.Result, error) {
 		return func(o eval.Options) (*eval.Result, error) {
 			fig, err := f(o)
@@ -250,25 +214,7 @@ func run(args []string) error {
 				return err
 			}
 		}
-		if *compare {
-			seqOpts := o
-			seqOpts.Parallelism = 1
-			t1 := time.Now()
-			seqRes, err := d.run(seqOpts)
-			if err != nil {
-				return err
-			}
-			seqElapsed := time.Since(t1)
-			if !reflect.DeepEqual(res, seqRes) {
-				return fmt.Errorf("%s: parallel output differs from sequential (determinism bug)", d.name)
-			}
-			fmt.Printf("[%s: %v with %d workers, %v sequential — %.2fx speedup, outputs identical]\n\n",
-				d.name, elapsed.Round(time.Millisecond), workers,
-				seqElapsed.Round(time.Millisecond),
-				float64(seqElapsed)/float64(elapsed))
-		} else {
-			fmt.Printf("[%s: %v]\n\n", d.name, elapsed.Round(time.Millisecond))
-		}
+		fmt.Printf("[%s: %v]\n\n", d.name, elapsed.Round(time.Millisecond))
 	}
 	if !any {
 		fs.Usage()
@@ -283,45 +229,6 @@ func run(args []string) error {
 		}
 		fmt.Printf("benchmark metrics written to %s\n", *benchjson)
 	}
-	return nil
-}
-
-// warmStart implements -resume: restore a checkpointed system and measure
-// steady-state round cost from exactly where the checkpoint left off — the
-// long-horizon benchmarking loop (snapshot once at scale, then measure many
-// candidate builds against the same warm state without re-simulating the
-// convergence prefix).
-func warmStart(path string, workers, rounds int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sys, err := core.RestoreSystem(f, workers)
-	if err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	eng := sys.Engine()
-	fmt.Printf("resumed %q at round %d: %d nodes (%d alive), %d components\n",
-		sys.Allocator().Topology().Name, eng.Round(), eng.Size(), eng.AliveCount(),
-		sys.Allocator().Components())
-	eng.Meter().Reserve(rounds + 1)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	t0 := time.Now()
-	if _, err := sys.Run(rounds); err != nil {
-		return err
-	}
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&after)
-	r := float64(rounds)
-	fmt.Printf("%d warm rounds: %.2f ms/round, %.0f B/round, %.1f allocs/round (workers=%d)\n",
-		rounds,
-		float64(elapsed.Nanoseconds())/r/1e6,
-		float64(after.TotalAlloc-before.TotalAlloc)/r,
-		float64(after.Mallocs-before.Mallocs)/r,
-		eng.Workers())
 	return nil
 }
 
@@ -386,7 +293,6 @@ type benchRecord struct {
 	EngineRounds  []roundMetric  `json:"engine_rounds,omitempty"`
 	WorkerScaling []roundMetric  `json:"worker_scaling,omitempty"`
 	Drivers       []driverMetric `json:"drivers,omitempty"`
-	Serve         *serveMetric   `json:"serve,omitempty"`
 	TotalWallMS   float64        `json:"total_wall_ms"`
 }
 
@@ -447,26 +353,6 @@ func validateBenchRecord(rec *benchRecord) error {
 	}
 	if rec.CPUs < 1 {
 		return fmt.Errorf("cpus must be >= 1, got %d", rec.CPUs)
-	}
-	// A serve-mode record carries the serve section instead of the engine
-	// and driver sections; a figure-driver record is the other way around.
-	if rec.Serve != nil {
-		s := rec.Serve
-		if s.URL == "" || s.Jobs < 1 || s.Concurrency < 1 || s.RoundsPer < 1 {
-			return fmt.Errorf("serve: url/jobs/concurrency/rounds_per_job must be set, got %q/%d/%d/%d",
-				s.URL, s.Jobs, s.Concurrency, s.RoundsPer)
-		}
-		if s.Rounds != s.Jobs*s.RoundsPer {
-			return fmt.Errorf("serve: rounds_streamed = %d, want jobs*rounds_per_job = %d", s.Rounds, s.Jobs*s.RoundsPer)
-		}
-		if s.JobsPerSec <= 0 || s.P50RoundMS < 0 || s.P99RoundMS < s.P50RoundMS || s.WallMS <= 0 {
-			return fmt.Errorf("serve: metrics out of range (jobs/sec=%g p50=%g p99=%g wall=%g)",
-				s.JobsPerSec, s.P50RoundMS, s.P99RoundMS, s.WallMS)
-		}
-		if rec.TotalWallMS <= 0 {
-			return fmt.Errorf("total_wall_ms must be > 0, got %g", rec.TotalWallMS)
-		}
-		return nil
 	}
 	if len(rec.EngineRounds) == 0 {
 		return fmt.Errorf("engine_rounds must not be empty")
@@ -593,13 +479,7 @@ func writeBenchJSON(path string, o eval.Options, workers int, metrics []driverMe
 			}
 		}
 	}
-	return writeValidatedBenchJSON(path, &rec)
-}
-
-// writeValidatedBenchJSON gates every BENCH_*.json write on schema
-// validation, whichever mode produced the record.
-func writeValidatedBenchJSON(path string, rec *benchRecord) error {
-	if err := validateBenchRecord(rec); err != nil {
+	if err := validateBenchRecord(&rec); err != nil {
 		return fmt.Errorf("benchjson: refusing to write %s: %w", path, err)
 	}
 	buf, err := json.MarshalIndent(rec, "", "  ")

@@ -284,9 +284,6 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers = n
 }
 
-// Workers returns the configured worker count.
-func (e *Engine) Workers() int { return e.workers }
-
 // MeterAware is implemented by protocols that meter their own bandwidth;
 // Register hands them their meter index.
 type MeterAware interface {

@@ -92,6 +92,12 @@ const engineSnapKind = "engine"
 // for centuries instead of returning an error.
 const maxSerialDraws = 1 << 44
 
+// maxPrealloc caps how many elements restore preallocates from a count read
+// off the stream. A few corrupt header bytes can claim millions of nodes or
+// rounds, so past the cap storage grows only with the elements actually
+// decoded, and a truncated stream fails before it costs gigabytes.
+const maxPrealloc = 1 << 16
+
 // Snapshot serializes the engine's complete state — round counter, node
 // table, partition and loss state, serial-RNG position, bandwidth history,
 // and every protocol's per-slot state — such that Restore followed by M
@@ -194,11 +200,7 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		return fmt.Errorf("snap: serial RNG draw count %d exceeds the %d replay bound (corrupt snapshot?)", draws, uint64(maxSerialDraws))
 	}
 
-	nodes := make([]Node, 0, nodeCount)
-	slotOfID := make([]int, nodeCount)
-	for i := range slotOfID {
-		slotOfID[i] = -1
-	}
+	nodes := make([]Node, 0, min(nodeCount, maxPrealloc))
 	for slot := 0; slot < nodeCount; slot++ {
 		id := r.Varint()
 		alive := r.Bool()
@@ -207,10 +209,9 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if id < 0 || id >= nextID || slotOfID[id] >= 0 {
-			return fmt.Errorf("snap: invalid or duplicate node ID %d", id)
+		if id < 0 || id >= nextID {
+			return fmt.Errorf("snap: invalid node ID %d", id)
 		}
-		slotOfID[id] = slot
 		nodes = append(nodes, Node{
 			Slot:    slot,
 			ID:      view.NodeID(id),
@@ -219,6 +220,18 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 			Profile: profile,
 		})
 	}
+	// Every node decoded, so the ID table is sized by real input bytes.
+	slotOfID := make([]int, nodeCount)
+	for i := range slotOfID {
+		slotOfID[i] = -1
+	}
+	for slot := range nodes {
+		id := nodes[slot].ID
+		if slotOfID[id] >= 0 {
+			return fmt.Errorf("snap: duplicate node ID %d", id)
+		}
+		slotOfID[id] = slot
+	}
 
 	var partition []int
 	if r.Bool() {
@@ -226,9 +239,9 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		partition = make([]int, n)
-		for i := range partition {
-			partition[i] = r.Int()
+		partition = make([]int, 0, min(n, maxPrealloc))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			partition = append(partition, r.Int())
 		}
 	}
 	if err := r.Err(); err != nil {
@@ -326,8 +339,8 @@ func (m *Meter) restore(r *snap.Reader) error {
 	}
 	np := len(m.names)
 	m.history = m.history[:0]
-	m.arena = make([]int64, 0, rounds*np)
-	for i := 0; i < rounds; i++ {
+	m.arena = make([]int64, 0, min(rounds*np, maxPrealloc))
+	for i := 0; i < rounds && r.Err() == nil; i++ {
 		start := len(m.arena)
 		for j := 0; j < np; j++ {
 			m.arena = append(m.arena, r.Varint())

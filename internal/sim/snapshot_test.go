@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -208,6 +210,38 @@ func TestRestoreRejectsAbsurdDrawCount(t *testing.T) {
 	err := e.Restore(bytes.NewReader(buf.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "replay bound") {
 		t.Fatalf("err = %v, want draw-count bound rejection", err)
+	}
+}
+
+// TestRestoreBoundsHeaderAllocation: a header claiming 2^26 nodes followed
+// by EOF is 43 bytes of input. Restore must fail on the truncation without
+// first allocating storage for the claimed population.
+func TestRestoreBoundsHeaderAllocation(t *testing.T) {
+	const claimed = 1 << 26
+	var buf bytes.Buffer
+	w := snap.NewWriter(&buf)
+	w.Header("engine")
+	w.I64(1)          // seed
+	w.Uvarint(0)      // draws
+	w.Int(0)          // round
+	w.Varint(claimed) // nextID
+	w.F64(0)          // loss rate
+	w.Len(claimed)    // node count, then EOF
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(1)
+	e.Register(&snapProbe{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := e.Restore(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("err = %v, want snap.ErrCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<20 {
+		t.Fatalf("restore of a %d-byte stream allocated %d MiB", buf.Len(), d>>20)
 	}
 }
 

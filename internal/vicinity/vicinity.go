@@ -65,17 +65,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// CandidateSource supplies free local candidate descriptors for a node —
-// descriptors already present on the node in another layer's state, so
+// ViewSource supplies free local candidate descriptors for a node —
+// descriptors already present on the node in another layer's view, so
 // folding them in costs no bandwidth. The runtime stacks overlays this way:
 // the component core protocol feeds off the same-component overlay (UO1).
-type CandidateSource interface {
-	Candidates(slot int) []view.Descriptor
-}
-
-// ViewSource is optionally implemented by candidate sources whose
-// candidates live in a View. The merge path then reads the view in place
-// instead of copying Candidates out, keeping the hot path allocation-free.
+// The view is read in place, keeping the hot path allocation-free.
 type ViewSource interface {
 	SourceView(slot int) *view.View
 }
@@ -104,7 +98,7 @@ type Protocol struct {
 	ranker Ranker
 	opts   Options
 	rps    *peersampling.Protocol
-	feeds  []CandidateSource
+	feeds  []ViewSource
 	meter  int
 	// states holds the per-slot overlay views as dense struct-of-arrays
 	// state (headers and entries in contiguous arena-backed arrays).
@@ -119,14 +113,13 @@ var (
 	_ sim.InboxOwner  = (*Protocol)(nil)
 	_ sim.MeterAware  = (*Protocol)(nil)
 	_ sim.Snapshotter = (*Protocol)(nil)
-	_ CandidateSource = (*Protocol)(nil)
 	_ ViewSource      = (*Protocol)(nil)
 )
 
 // New creates an overlay named name, ranked by ranker, drawing random
 // candidates from rps (may be nil only if opts.NoRandomFeed is set) and,
 // optionally, from additional local candidate feeds.
-func New(name string, ranker Ranker, rps *peersampling.Protocol, opts Options, feeds ...CandidateSource) *Protocol {
+func New(name string, ranker Ranker, rps *peersampling.Protocol, opts Options, feeds ...ViewSource) *Protocol {
 	return &Protocol{
 		name:   name,
 		ranker: ranker,
@@ -137,16 +130,9 @@ func New(name string, ranker Ranker, rps *peersampling.Protocol, opts Options, f
 	}
 }
 
-// Candidates implements CandidateSource, so overlays can feed each other.
-func (p *Protocol) Candidates(slot int) []view.Descriptor {
-	if v := p.SourceView(slot); v != nil {
-		return v.Entries()
-	}
-	return nil
-}
-
-// SourceView implements ViewSource: the overlay's own view is its candidate
-// feed, readable in place by stacked overlays.
+// SourceView implements ViewSource, so overlays can feed each other: the
+// overlay's own view is its candidate feed, readable in place by stacked
+// overlays.
 func (p *Protocol) SourceView(slot int) *view.View {
 	if slot >= p.states.Len() {
 		return nil
@@ -241,11 +227,7 @@ func (p *Protocol) Refresh(ctx *sim.Ctx) {
 		p.applyView(ctx.Pad(), self, v, p.rps.View(slot))
 	}
 	for _, f := range p.feeds {
-		if vs, ok := f.(ViewSource); ok {
-			p.applyView(ctx.Pad(), self, v, vs.SourceView(slot))
-		} else {
-			p.apply(ctx.Pad(), self, v, f.Candidates(slot))
-		}
+		p.applyView(ctx.Pad(), self, v, f.SourceView(slot))
 	}
 }
 
@@ -352,12 +334,8 @@ func (p *Protocol) selectFor(ctx *sim.Ctx, slot int, owner view.Profile, ownerID
 		m.AddView(p.rps.View(slot))
 	}
 	for _, f := range p.feeds {
-		if vs, ok := f.(ViewSource); ok {
-			if sv := vs.SourceView(slot); sv != nil {
-				m.AddView(sv)
-			}
-		} else {
-			m.AddSlice(f.Candidates(slot))
+		if sv := f.SourceView(slot); sv != nil {
+			m.AddView(sv)
 		}
 	}
 	pool := m.Result()
